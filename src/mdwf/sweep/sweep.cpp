@@ -131,6 +131,31 @@ void run_tasks(std::vector<std::function<void()>> tasks,
   TaskPool::run(std::move(tasks), resolve_threads(threads));
 }
 
+std::string RepFailure::message() const { return error_message(error); }
+
+std::optional<RepFailure> run_repetitions(
+    std::uint32_t reps, std::uint32_t threads, obs::TraceSink* rep0_trace,
+    const std::function<void(std::uint32_t rep, obs::TraceSink* trace)>&
+        run) {
+  std::vector<std::exception_ptr> errors(reps);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(reps);
+  for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    tasks.push_back([&run, &errors, rep0_trace, rep] {
+      try {
+        run(rep, rep == 0 ? rep0_trace : nullptr);
+      } catch (...) {
+        errors[rep] = std::current_exception();
+      }
+    });
+  }
+  TaskPool::run(std::move(tasks), resolve_threads(threads));
+  for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    if (errors[rep]) return RepFailure{rep, errors[rep]};
+  }
+  return std::nullopt;
+}
+
 workflow::EnsembleResult run_ensemble(const workflow::EnsembleConfig& config) {
   const unsigned threads = resolve_threads(config.threads);
   if (threads <= 1 || config.repetitions <= 1) {
@@ -138,23 +163,16 @@ workflow::EnsembleResult run_ensemble(const workflow::EnsembleConfig& config) {
   }
   obs::TraceSink trace_sink;  // rep 0 only: no cross-thread sharing
   const bool tracing = !config.trace_path.empty();
-  std::vector<RepSlot> slots(config.repetitions);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(config.repetitions);
-  for (std::uint32_t rep = 0; rep < config.repetitions; ++rep) {
-    tasks.push_back(make_rep_task(
-        config, rep, (tracing && rep == 0) ? &trace_sink : nullptr,
-        slots[rep]));
+  std::vector<std::optional<workflow::RepOutcome>> slots(config.repetitions);
+  if (const auto failure = run_repetitions(
+          config.repetitions, threads, tracing ? &trace_sink : nullptr,
+          [&](std::uint32_t rep, obs::TraceSink* trace) {
+            slots[rep] = workflow::run_repetition(config, rep, trace);
+          })) {
+    std::rethrow_exception(failure->error);
   }
-  TaskPool::run(std::move(tasks), threads);
-
   workflow::EnsembleResult result = workflow::make_ensemble_result();
-  for (RepSlot& slot : slots) {
-    // Lowest failing repetition wins, exactly as the serial loop (which
-    // would never have reached the later repetitions at all).
-    if (slot.err) std::rethrow_exception(slot.err);
-    fold_repetition(result, std::move(*slot.out));
-  }
+  for (auto& slot : slots) fold_repetition(result, std::move(*slot));
   if (tracing) {
     result.counters.set("trace_events", trace_sink.event_count());
     trace_sink.write(config.trace_path);

@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,28 @@ unsigned resolve_threads(std::uint32_t requested);
 // threads <= 1 the tasks run inline in order.
 void run_tasks(std::vector<std::function<void()>> tasks,
                std::uint32_t threads);
+
+// The canonically-first failing repetition of a run_repetitions batch.
+struct RepFailure {
+  std::uint32_t rep = 0;
+  std::exception_ptr error;
+  // what() of the error; "unknown error" for a non-std exception.
+  std::string message() const;
+};
+
+// Fans the seeded repetitions 0..reps-1 of one configuration across
+// `threads` workers (as in resolve_threads): run(rep, trace) writes its
+// outcome into a caller-owned slot.  Only repetition 0 receives
+// `rep0_trace` (every repetition is an independent simulation starting at
+// t=0, so a combined timeline would interleave unrelated runs).
+// Exceptions are captured per repetition; the lowest failing one — the one
+// the serial loop would have hit — is returned, nullopt when all passed.
+// Folding the slots in repetition order is byte-identical for every
+// thread count.
+std::optional<RepFailure> run_repetitions(
+    std::uint32_t reps, std::uint32_t threads, obs::TraceSink* rep0_trace,
+    const std::function<void(std::uint32_t rep, obs::TraceSink* trace)>&
+        run);
 
 // One grid point: a full ensemble configuration plus a label for reports.
 struct SweepPoint {
