@@ -37,6 +37,16 @@ constexpr std::string_view kDagOnlyKeys[] = {
     "dag_tasks", "dag_width", "dag_seed",  "dag_runtime",
     "dag_bytes", "dag_chunk", "dag_scale"};
 
+// A count that must be at least one: zero pairs, nodes, frames or
+// repetitions has no run behind it (an empty rank set, an empty testbed,
+// NaN per-frame means, an all-zero row).
+std::uint64_t get_count(const KeyValueConfig& cfg, std::string_view key,
+                        std::uint64_t fallback) {
+  const std::uint64_t value = cfg.get_uint(key, fallback);
+  if (value == 0) throw ConfigError(std::string(key) + " must be >= 1, got 0");
+  return value;
+}
+
 std::string solution_key(Solution s) {
   switch (s) {
     case Solution::kDyad:
@@ -87,14 +97,14 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
                                                   : model->stride;
   config.workload.stride = cfg.get_uint("stride", default_stride);
 
-  config.pairs = static_cast<std::uint32_t>(cfg.get_uint("pairs",
-                                                         defaults.pairs));
+  config.pairs =
+      static_cast<std::uint32_t>(get_count(cfg, "pairs", defaults.pairs));
   // XFS cannot move data between nodes, so it defaults to a single one.
   const std::uint32_t default_nodes =
       config.solution == Solution::kXfs ? 1 : defaults.nodes;
   config.nodes =
-      static_cast<std::uint32_t>(cfg.get_uint("nodes", default_nodes));
-  config.workload.frames = cfg.get_uint("frames", defaults.workload.frames);
+      static_cast<std::uint32_t>(get_count(cfg, "nodes", default_nodes));
+  config.workload.frames = get_count(cfg, "frames", defaults.workload.frames);
   config.workload.step_jitter_sigma =
       cfg.get_double("jitter", defaults.workload.step_jitter_sigma);
   // Consumer analytics time as a multiple of the frame period; >1 models
@@ -106,7 +116,7 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
                       std::to_string(config.workload.analytics_scale));
   }
   config.repetitions =
-      static_cast<std::uint32_t>(cfg.get_uint("reps", defaults.repetitions));
+      static_cast<std::uint32_t>(get_count(cfg, "reps", defaults.repetitions));
   config.base_seed = cfg.get_uint("seed", defaults.base_seed);
   // Worker threads for the parallel replica runner (mdwf::sweep); 0 = all
   // hardware threads.  Never affects results, only wall-clock time.
@@ -266,6 +276,22 @@ EnsembleConfig parse_ensemble_config(const KeyValueConfig& cfg,
     throw ConfigError(msg);
   }
 
+  // Shapes the runners can place: split placement puts producers on the
+  // first half of the nodes and consumers on the rest; XFS moves no data
+  // between nodes (paper Sec. III-B); DAG tasks go round-robin.
+  const bool pipeline = config.dag == nullptr;
+  const bool colocated =
+      config.nodes == 1 ||
+      (pipeline && config.placement == Placement::kColocated);
+  if (config.solution == Solution::kXfs && !colocated) {
+    throw ConfigError("xfs cannot move data between nodes; got nodes=" +
+                      std::to_string(config.nodes) + ", use nodes=1" +
+                      (pipeline ? " or colocate=1" : ""));
+  }
+  if (!colocated && pipeline && config.nodes % 2 != 0) {
+    throw ConfigError("split placement needs an even node count; got nodes=" +
+                      std::to_string(config.nodes) + " (or set colocate=1)");
+  }
   return config;
 }
 

@@ -491,5 +491,53 @@ TEST(ParseEnsembleConfigTest, FaultsEnableRetryAndRejectUnknown) {
   EXPECT_THROW(workflow::parse_ensemble_config(bad2, {}), ConfigError);
 }
 
+// Zero of a count key is a named ConfigError at the boundary, not an
+// assertion abort, a NaN column or an all-zero row downstream; one is the
+// smallest run that exists.
+void expect_count_key_bounded(const char* key) {
+  KeyValueConfig zero;
+  zero.set(key, "0");
+  try {
+    (void)workflow::parse_ensemble_config(zero, {});
+    ADD_FAILURE() << key << "=0 was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+  KeyValueConfig one;
+  one.set(key, "1");
+  EXPECT_NO_THROW((void)workflow::parse_ensemble_config(one, {}));
+}
+
+TEST(ParseEnsembleConfigTest, ZeroPairsIsRejected) {
+  expect_count_key_bounded("pairs");
+}
+
+TEST(ParseEnsembleConfigTest, ZeroNodesIsRejected) {
+  expect_count_key_bounded("nodes");
+}
+
+TEST(ParseEnsembleConfigTest, ZeroFramesIsRejected) {
+  expect_count_key_bounded("frames");
+}
+
+TEST(ParseEnsembleConfigTest, ZeroRepsIsRejected) {
+  expect_count_key_bounded("reps");
+}
+
+TEST(ParseEnsembleConfigTest, UnplaceableShapesAreRejected) {
+  KeyValueConfig odd;
+  odd.set("nodes", "3");
+  EXPECT_THROW((void)workflow::parse_ensemble_config(odd, {}), ConfigError);
+  KeyValueConfig xfs;
+  xfs.set("solution", "xfs");
+  xfs.set("nodes", "2");
+  EXPECT_THROW((void)workflow::parse_ensemble_config(xfs, {}), ConfigError);
+
+  odd.set("colocate", "1");
+  EXPECT_EQ(workflow::parse_ensemble_config(odd, {}).nodes, 3u);
+  xfs.set("colocate", "1");
+  EXPECT_EQ(workflow::parse_ensemble_config(xfs, {}).nodes, 2u);
+}
+
 }  // namespace
 }  // namespace mdwf

@@ -180,6 +180,10 @@ int main(int argc, char** argv) {
         static_cast<std::uint32_t>(cfg.get_uint("nodes", 2));
     const std::uint32_t reps =
         static_cast<std::uint32_t>(cfg.get_uint("reps", 3));
+    // An empty testbed aborts the planner; zero repetitions would rank
+    // all-zero rows and recommend from nothing.
+    if (nodes == 0) throw ConfigError("nodes must be >= 1, got 0");
+    if (reps == 0) throw ConfigError("reps must be >= 1, got 0");
     const std::uint64_t seed = cfg.get_uint("seed", 1);
     const std::uint32_t threads =
         static_cast<std::uint32_t>(cfg.get_uint("threads", 1));
