@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 namespace mdwf::wload {
@@ -87,8 +88,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't': return parse_literal("true", JsonValue::make_bool(true));
       case 'f': return parse_literal("false", JsonValue::make_bool(false));
@@ -240,9 +249,15 @@ class Parser {
     return JsonValue::make_object(std::move(members));
   }
 
+  // The reader (and JsonValue's destructor) recurse once per nesting
+  // level, so unbounded nesting would exhaust the stack on a hostile file;
+  // WfCommons instances nest fewer than ten levels.
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::string_view context_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -61,6 +61,18 @@ TEST(WloadJson, ErrorsCarryContextAndPosition) {
   EXPECT_ERROR_HAS(msg, "line 3");
 }
 
+TEST(WloadJson, RejectsNestingBeyondTheDepthLimit) {
+  // A hostile file of 200k '[' must fail with a position, not overflow the
+  // stack; nesting at the limit still parses.
+  const std::string deep(200000, '[');
+  EXPECT_ERROR_HAS(error_of([&] { wload::parse_json(deep, "deep.json"); }),
+                   "deep.json: nesting deeper than 256 levels at line 1 "
+                   "column 257");
+  const std::string ok = std::string(256, '[') + std::string(256, ']');
+  EXPECT_EQ(wload::parse_json(ok, "ok.json").kind(),
+            wload::JsonValue::Kind::kArray);
+}
+
 TEST(WloadJson, RejectsTrailingContent) {
   EXPECT_ERROR_HAS(error_of([] { wload::parse_json("{} tail", "t"); }),
                    "trailing");
