@@ -124,7 +124,7 @@ class Connector {
   virtual sim::Task<void> get(const std::string& path, Bytes size,
                               std::uint64_t frame = kAutoFrame) = 0;
   // Consumer iteration complete (manual sync only; no-op for DYAD).
-  virtual void acknowledge(std::uint64_t frame = kAutoFrame) {}
+  virtual void acknowledge(std::uint64_t /*frame*/ = kAutoFrame) {}
 
   // The connector whose per-rank counters the collector should read.
   // Decorators (e.g. the co-tenant SLO fallback wrapper) forward to their

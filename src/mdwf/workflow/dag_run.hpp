@@ -26,6 +26,11 @@
 // is safe; RankStats separates distinct progress from re-execution.  The
 // membership plane (rank migration) is not supported with DAG workloads;
 // parse_ensemble_config rejects the combination.
+//
+// Only the task loop body and the planner are DAG-specific.  The frame
+// retry step, per-rank helpers, edge wiring, RankSetAssets, collectors and
+// repetition skeleton are the pipeline runner's (rank_core.hpp), so a DAG
+// edge moves frames exactly as a pipeline pair does.
 #pragma once
 
 #include <cstdint>
