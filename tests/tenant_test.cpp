@@ -310,6 +310,10 @@ TEST(TenantParse, RejectsMalformedDescriptors) {
   EXPECT_THROW(parse("a@dyad/2/2,a@lustre/2/2"), ConfigError);  // dup name
   EXPECT_THROW(parse("dyad/2/2/crash:9"), ConfigError);  // beyond slice
   EXPECT_THROW(parse("noise/16/1/9"), ConfigError);      // too many fields
+  EXPECT_THROW(parse("dyad/0/2"), ConfigError);          // no pairs
+  EXPECT_THROW(parse("dyad/2/0"), ConfigError);          // no nodes
+  EXPECT_THROW(parse("dyad/2/3"), ConfigError);          // odd split
+  EXPECT_EQ(parse("dyad/2/1,xfs/2/3").tenants.size(), 2u);  // placeable
 
   // Global faults= would chaos every tenant ambiguously; each tenant
   // declares its own scenario instead.
