@@ -692,7 +692,7 @@ std::string describe(const CoSchedule& s) {
 // Cross-tenant invariants: completeness and liveness for every workflow
 // tenant (chaotic ones must recover), zero unrecovered corruption anywhere,
 // and — the isolation core — zero recovery activity in healthy tenants.
-std::optional<std::string> violation(const CoSchedule& s,
+std::optional<std::string> violation(const CoSchedule&,
                                      const tenant::MultiTenantResult& r) {
   for (const auto& tr : r.tenants) {
     if (tr.spec.kind != tenant::TenantKind::kWorkflow) continue;

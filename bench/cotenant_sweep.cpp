@@ -16,9 +16,14 @@
 //                  [slo_target_us=4000] [threads=1] [out=<csv path>]
 //
 // stdout carries one "cotenant:" line per (intensity, isolation) cell and a
-// machine-readable "cotenant_sweep:" summary (tools/bench.sh cotenant turns
-// it into BENCH_pr8.json).  The CSV excludes wall-clock, so re-runs at any
-// thread count are byte-identical.  Exit 0 when every cell ran clean.
+// "cotenant_sweep:" summary line; with the out= CSV that is the record
+// (BENCH_pr8.json holds an earlier run).  The CSV excludes wall-clock, so
+// re-runs at any thread count are byte-identical.  Exit 0 when every cell
+// ran clean and both gates hold: isolation at least halves the victim's
+// fetch P99 at the worst storm (improvement >= 2.0), and the solo tenant
+// matches the classic runner within 2% (|solo_overhead_pct| <= 2).  A
+// failed gate exits 1 with a "gate failed" line on stderr.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -213,5 +218,20 @@ int main(int argc, char** argv) {
               format_double(worst_off, 3).c_str(),
               format_double(worst_on, 3).c_str(),
               format_double(improvement, 3).c_str());
-  return 0;
+  int status = 0;
+  if (!(improvement >= 2.0)) {
+    std::fprintf(stderr,
+                 "cotenant_sweep: gate failed: improvement >= 2.0 "
+                 "(improvement=%s at intensity %u)\n",
+                 format_double(improvement, 3).c_str(), worst_intensity);
+    status = 1;
+  }
+  if (!(std::fabs(solo_overhead_pct) <= 2.0)) {
+    std::fprintf(stderr,
+                 "cotenant_sweep: gate failed: |solo_overhead_pct| <= 2 "
+                 "(solo_overhead_pct=%s)\n",
+                 format_double(solo_overhead_pct, 4).c_str());
+    status = 1;
+  }
+  return status;
 }

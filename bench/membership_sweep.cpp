@@ -16,15 +16,21 @@
 //                    [reps=2] [threads=1] [out=<csv path>]
 //
 // stdout carries one "frontier:" line per (ceiling, scenario) point, then a
-// machine-readable summary line (tools/bench.sh membership turns a re-run
-// pair into BENCH_pr9.json).  The CSV excludes wall-clock, so re-runs at
-// any thread count are byte-identical.  Exit 0 when every point ran clean,
-// every faulted point delivered the full frame set, and the no-fault
-// overhead of leaving the plane enabled stays within the 2% gate.
+// "membership_sweep:" summary line; with the out= CSV that is the record.
+// The CSV excludes wall-clock, so re-runs at any thread count are
+// byte-identical.  Exit 0 when every gate holds: every point ran clean
+// (errors == 0), every faulted point delivered the full frame set
+// (all_delivered), leaving the plane enabled costs at most 2% without
+// faults (|overhead_pct| <= 2), the ceiling sweep brackets the spurious
+// declare (a heal-after-declare point with declares > 0 and one with
+// declares == 0), and every spurious declare fenced a zombie publish
+// (stale_rejects > 0).  A failed gate exits 1 with a "gate failed" line on
+// stderr.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mdwf/common/keyval.hpp"
@@ -117,7 +123,12 @@ int main(int argc, char** argv) {
                    pt.label.c_str(), pt.error_text.c_str());
     }
   }
-  if (result.errors != 0) return 1;
+  if (result.errors != 0) {
+    std::fprintf(stderr,
+                 "membership_sweep: gate failed: errors == 0 (errors=%zu)\n",
+                 result.errors);
+    return 1;
+  }
 
   const double makespan_off = result.points[0].result.makespan_s.mean();
   const double makespan_on = result.points[1].result.makespan_s.mean();
@@ -146,6 +157,9 @@ int main(int argc, char** argv) {
   }
 
   bool all_delivered = true;
+  bool heal_declared = false;    // some heal-after-declare point declared
+  bool heal_rode_out = false;    // and some rode the partition out
+  bool declares_fenced = true;   // every spurious declare fenced a zombie
   std::size_t idx = 2;
   for (const std::string& ceiling : ceilings) {
     for (const char* scenario : kScenarios) {
@@ -162,6 +176,12 @@ int main(int argc, char** argv) {
       // the plane-on fault-free run.
       const double mttr = makespan - makespan_on;
       all_delivered = all_delivered && lost == 0;
+      if (std::string_view(scenario) == "heal-after-declare") {
+        (declares > 0 ? heal_declared : heal_rode_out) = true;
+        if (declares > 0 && r.counters.get("stale_epoch_rejects") == 0) {
+          declares_fenced = false;
+        }
+      }
       char line[320];
       std::snprintf(
           line, sizeof(line),
@@ -206,7 +226,18 @@ int main(int argc, char** argv) {
       result.points.size(), result.errors, overhead_pct,
       all_delivered ? 1 : 0,
       static_cast<unsigned long long>(result.total_sim_events));
-  // Gates: zero data loss everywhere, and the idle plane must cost <= 2%.
-  if (!all_delivered) return 1;
-  return std::fabs(overhead_pct) <= 2.0 ? 0 : 1;
+  int status = 0;
+  const auto gate = [&status](bool ok, const char* name) {
+    if (ok) return;
+    std::fprintf(stderr, "membership_sweep: gate failed: %s\n", name);
+    status = 1;
+  };
+  gate(all_delivered, "all_delivered (a faulted point lost frames)");
+  gate(std::fabs(overhead_pct) <= 2.0, "|overhead_pct| <= 2");
+  gate(heal_declared && heal_rode_out,
+       "heal-after-declare brackets the spurious declare (one point with "
+       "declares > 0, one with declares == 0)");
+  gate(declares_fenced,
+       "stale_rejects > 0 at every heal-after-declare point that declared");
+  return status;
 }

@@ -12,13 +12,14 @@
 //   scale_sweep threads=1 out=a.csv && scale_sweep threads=4 out=b.csv
 //   cmp a.csv b.csv
 //
-// is the determinism check and the wall-clock ratio is the speedup
-// (tools/bench.sh scale automates both into BENCH_pr5.json).
+// is the determinism check and the wall-clock ratio of the two summary
+// lines is the speedup (BENCH_pr5.json holds an earlier pair).
 //
 //   scale_sweep [threads=1] [pairs=64] [frames=16] [reps=3] [model=STMV]
 //               [corona=1] [out=<csv path>]
 //
-// Exit code 0 when every grid point ran clean, 1 otherwise.
+// Exit 0 when every grid point ran clean (errors == 0); otherwise exit 1
+// with a "gate failed" line on stderr.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -103,8 +104,7 @@ int main(int argc, char** argv) {
     }
   }
   // On a single-core host a "parallel" run measures thread overhead, not
-  // speedup; flag it so downstream tooling (tools/bench.sh scale) can mark
-  // the speedup invalid instead of reporting a misleading <1x.
+  // speedup; say so instead of letting a <1x ratio pass for a result.
   const unsigned host_threads =
       std::max(1u, std::thread::hardware_concurrency());
   if (host_threads == 1 && sweep::resolve_threads(threads) > 1) {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
                  "scale_sweep: warning: single hardware thread; the "
                  "thread-count speedup is not meaningful on this host\n");
   }
-  // Machine-readable summary (tools/bench.sh scale parses this line).
+  // Machine-readable summary: the record, with the out= CSV.
   std::printf(
       "scale_sweep: points=%zu errors=%zu sim_events=%llu wall_s=%.3f "
       "events_per_s=%.0f threads=%u host_threads=%u\n",
@@ -120,5 +120,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.total_sim_events),
       result.wall_seconds, result.events_per_second(),
       sweep::resolve_threads(threads), host_threads);
-  return result.errors == 0 ? 0 : 1;
+  if (result.errors != 0) {
+    std::fprintf(stderr, "scale_sweep: gate failed: errors == 0 (errors=%zu)\n",
+                 result.errors);
+    return 1;
+  }
+  return 0;
 }

@@ -21,10 +21,12 @@
 //                     [threads=1] [out=<csv path>]
 //
 // stdout carries one "frontier:" line per (model, pairs, faults) regime
-// comparing stream vs DYAD P99, then a machine-readable summary line
-// (tools/bench.sh frontier turns a re-run pair into BENCH_pr6.json).  The
-// CSV excludes wall-clock, so re-runs at any thread count are byte-identical.
-// Exit 0 when every point ran clean and both frontier sides are non-empty.
+// comparing stream vs DYAD P99, then a "solution_frontier:" summary line;
+// with the out= CSV that is the record (BENCH_pr6.json holds an earlier
+// run).  The CSV excludes wall-clock, so re-runs at any thread count are
+// byte-identical.  Exit 0 when every point ran clean (errors == 0) and both
+// frontier sides are non-empty (stream_wins >= 1, stream_losses >= 1); a
+// failed gate exits 1 with a "gate failed" line on stderr.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -214,8 +216,28 @@ int main(int argc, char** argv) {
       "stream_losses=%zu sim_events=%llu\n",
       result.points.size(), result.errors, wins, losses,
       static_cast<unsigned long long>(result.total_sim_events));
-  if (result.errors != 0) return 1;
+  int status = 0;
+  if (result.errors != 0) {
+    std::fprintf(stderr,
+                 "solution_frontier: gate failed: errors == 0 (errors=%zu)\n",
+                 result.errors);
+    status = 1;
+  }
   // A frontier needs both sides; an all-win or all-lose grid means the
   // sweep no longer brackets the crossover.
-  return (wins >= 1 && losses >= 1) ? 0 : 1;
+  if (wins < 1) {
+    std::fprintf(stderr,
+                 "solution_frontier: gate failed: stream_wins >= 1 "
+                 "(stream_wins=%zu)\n",
+                 wins);
+    status = 1;
+  }
+  if (losses < 1) {
+    std::fprintf(stderr,
+                 "solution_frontier: gate failed: stream_losses >= 1 "
+                 "(stream_losses=%zu)\n",
+                 losses);
+    status = 1;
+  }
+  return status;
 }

@@ -37,9 +37,9 @@ int main() {
 
   for (std::uint32_t pair = 0; pair < 4; ++pair) {
     recorders.push_back(std::make_unique<perf::Recorder>(
-        sim, "p" + std::to_string(pair)));
+        sim, std::string("p").append(std::to_string(pair))));
     recorders.push_back(std::make_unique<perf::Recorder>(
-        sim, "c" + std::to_string(pair)));
+        sim, std::string("c").append(std::to_string(pair))));
     auto& prec = *recorders[recorders.size() - 2];
     auto& crec = *recorders[recorders.size() - 1];
     channels.push_back(std::make_unique<SteeringChannel>(

@@ -13,7 +13,10 @@ std::string DyadMetadata::encode() const {
                   std::to_string(size.count()) + ":" + std::to_string(crc);
   // The epoch field is emitted only when nonzero so every healthy put keeps
   // the exact legacy byte format (daemons are born at incarnation 0).
-  if (epoch != 0) s += ":" + std::to_string(epoch);
+  if (epoch != 0) {
+    s += ':';
+    s += std::to_string(epoch);
+  }
   return s;
 }
 
@@ -666,13 +669,9 @@ sim::Task<void> DyadConsumer::consume(const std::string& path, Bytes size) {
   bool in_memory = false;
   std::string local_copy_path = path;
 
-  const bool produced_here =
-      !node_->params().force_kvs_sync && local.exists(path);
-  const bool pushed_here =
+  bool produced_here = !node_->params().force_kvs_sync && local.exists(path);
+  bool pushed_here =
       !node_->params().force_kvs_sync && local.exists(staged_path);
-  const bool hedged =
-      gated && hp.hedge.enabled && !produced_here && !pushed_here;
-  const TimePoint cold_start = sim.now();
 
   if (produced_here || pushed_here) {
     // Warm path: data already on this node's storage (produced locally,
@@ -684,8 +683,24 @@ sim::Task<void> DyadConsumer::consume(const std::string& path, Bytes size) {
     const fs::InodeId ino = co_await local.open(local_copy_path);
     co_await local.lock(ino).lock_shared();
     local.lock(ino).unlock_shared();
-    have_local_copy = true;
-    ++warm_hits_;
+    if (local.size(ino) < size) {
+      // The shared lock waited out the writer, so a copy shorter than the
+      // frame was torn back to its durable size by a power loss.  Reading
+      // it can only fail past EOF: drop it and fetch cold.
+      co_await local.unlink(local_copy_path);
+      produced_here = false;
+      pushed_here = false;
+    } else {
+      have_local_copy = true;
+      ++warm_hits_;
+    }
+  }
+  const bool hedged =
+      gated && hp.hedge.enabled && !produced_here && !pushed_here;
+  const TimePoint cold_start = sim.now();
+
+  if (have_local_copy) {
+    // Warm hit: nothing to fetch.
   } else if (hedged) {
     // --- Hedged cold fetch: race the normal DYAD path (KVS sync + RDMA +
     // staging) against a Lustre-replica read launched after the adaptive

@@ -13,8 +13,9 @@ constexpr std::uint32_t kMagic = 0x4D445746;  // "MDWF"
 constexpr std::uint16_t kVersion = 1;
 
 void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, p, n);
 }
 
 template <typename T>

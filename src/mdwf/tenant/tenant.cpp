@@ -407,8 +407,10 @@ std::string MultiTenantResult::to_csv() const {
     out += t.spec.name;
     out += ",";
     out += noise ? "noise" : std::string(workflow::to_string(t.spec.solution));
-    out += "," + std::to_string(noise ? 0 : t.spec.pairs);
-    out += "," + std::to_string(t.spec.nodes);
+    out += ",";
+    out += std::to_string(noise ? 0 : t.spec.pairs);
+    out += ",";
+    out += std::to_string(t.spec.nodes);
     out += ",";
     num(t.spec.weight);
     out += ",";
@@ -425,7 +427,8 @@ std::string MultiTenantResult::to_csv() const {
     num(t.result.cons_fetch_us.quantile(0.99));
     for (const auto& [name, value] : t.result.counters) {
       (void)name;
-      out += "," + std::to_string(value);
+      out += ",";
+      out += std::to_string(value);
     }
     out += "\n";
   }
@@ -437,7 +440,8 @@ std::string MultiTenantResult::to_csv() const {
   }
   for (const auto& [name, value] : tenants.front().result.counters) {
     (void)value;
-    out += "," + std::to_string(shared.get(name));
+    out += ",";
+    out += std::to_string(shared.get(name));
   }
   out += "\n";
   return out;
@@ -603,7 +607,9 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
       throw ConfigError("bad tenant descriptor '" + desc +
                         "': weight must be > 0");
     }
-    if (t.name.empty()) t.name = "t" + std::to_string(index);
+    if (t.name.empty()) {
+      t.name = std::string("t").append(std::to_string(index));
+    }
     mc.tenants.push_back(std::move(t));
     ++index;
   }

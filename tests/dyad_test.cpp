@@ -154,19 +154,23 @@ TEST(DyadTest, BrokerConcurrencyLimitsParallelServes) {
   perf::Recorder prec(sim, "p");
   std::vector<perf::Recorder> crecs;
   crecs.reserve(4);
-  for (int i = 0; i < 4; ++i) crecs.emplace_back(sim, "c" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    crecs.emplace_back(sim, std::string("c").append(std::to_string(i)));
+  }
   sim.spawn([](Testbed& t, perf::Recorder& pr,
                std::vector<perf::Recorder>& crs) -> Task<void> {
     DyadProducer producer(*t.node(0).dyad, pr);
     for (int i = 0; i < 4; ++i) {
-      co_await producer.produce("f" + std::to_string(i), Bytes::kib(4));
+      co_await producer.produce(std::string("f").append(std::to_string(i)),
+                                Bytes::kib(4));
     }
     co_await t.simulation().delay(5_ms);
     std::vector<Task<void>> gets;
     for (int i = 0; i < 4; ++i) {
       gets.push_back([](Testbed& tt, perf::Recorder& rr, int k) -> Task<void> {
         DyadConsumer consumer(*tt.node(1).dyad, rr);
-        co_await consumer.consume("f" + std::to_string(k), Bytes::kib(4));
+        co_await consumer.consume(std::string("f").append(std::to_string(k)),
+                                Bytes::kib(4));
       }(t, crs[static_cast<std::size_t>(i)], i));
     }
     const TimePoint t0 = t.simulation().now();

@@ -119,9 +119,12 @@ TEST(LedgerTest, RateZeroStaysCleanAndWindowsRaiseIt) {
   p.enabled = true;
   integrity::Ledger ledger(sim, p);
   const std::string loc = integrity::Ledger::ssd_location(3);
-  for (int i = 0; i < 64; ++i) ledger.store("f" + std::to_string(i), loc, 3);
   for (int i = 0; i < 64; ++i) {
-    EXPECT_FALSE(ledger.corrupt("f" + std::to_string(i), loc));
+    ledger.store(std::string("f").append(std::to_string(i)), loc, 3);
+  }
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_FALSE(
+        ledger.corrupt(std::string("f").append(std::to_string(i)), loc));
   }
   EXPECT_FALSE(ledger.flip_link(0, 3));
 
@@ -150,10 +153,9 @@ TEST(LedgerTest, SameSeedSameCorruptionHistory) {
     integrity::Ledger ledger(sim, q);
     std::string h;
     for (int i = 0; i < 200; ++i) {
-      ledger.store("f" + std::to_string(i),
-                   integrity::Ledger::ssd_location(0), 0);
-      h += ledger.corrupt("f" + std::to_string(i),
-                          integrity::Ledger::ssd_location(0))
+      const std::string f = std::string("f").append(std::to_string(i));
+      ledger.store(f, integrity::Ledger::ssd_location(0), 0);
+      h += ledger.corrupt(f, integrity::Ledger::ssd_location(0))
                ? 'X'
                : '.';
       h += ledger.flip_link(0, 1) ? 'X' : '.';
@@ -260,7 +262,9 @@ TEST(CrashConsistencyTest, LustreCloseAfterWriteIsDurableOpenIsNot) {
     EXPECT_EQ(co_await client.stat("committed"), Bytes::mib(2));
     const auto open_size = co_await client.stat("open");
     EXPECT_TRUE(open_size.has_value());
-    if (open_size.has_value()) EXPECT_LT(*open_size, Bytes::mib(2));
+    if (open_size.has_value()) {
+      EXPECT_LT(*open_size, Bytes::mib(2));
+    }
   }(tb));
   sim.run_to_quiescence();
 }

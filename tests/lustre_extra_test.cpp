@@ -162,7 +162,7 @@ TEST(MdsInterferenceTest, StormsDelayMetadataOps) {
       for (int i = 0; i < 6; ++i) {
         creates.push_back([](Cluster& cc, int k) -> Task<void> {
           LustreClient cli(cc.sim, cc.servers, net::NodeId{0});
-          (void)co_await cli.create("f" + std::to_string(k));
+          (void)co_await cli.create(std::string("f").append(std::to_string(k)));
         }(cl, i));
       }
       co_await sim::all(cl.sim, std::move(creates));

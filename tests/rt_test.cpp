@@ -76,11 +76,12 @@ TEST(FileChannelTest, ManyFramesInOrder) {
   FileChannel ch(test_dir("many"), SyncProtocol::kEventful);
   std::thread producer([&] {
     for (int f = 0; f < 20; ++f) {
-      ch.put("f" + std::to_string(f), md::synthesize_frame("X", 64, f, 5));
+      ch.put(std::string("f").append(std::to_string(f)),
+             md::synthesize_frame("X", 64, f, 5));
     }
   });
   for (int f = 0; f < 20; ++f) {
-    const auto got = ch.get("f" + std::to_string(f));
+    const auto got = ch.get(std::string("f").append(std::to_string(f)));
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->index, static_cast<std::uint64_t>(f));
   }
