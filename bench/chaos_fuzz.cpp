@@ -376,9 +376,21 @@ DagSchedule draw_dag_schedule(std::uint64_t master_seed, std::uint32_t index) {
   s.spec.width = 2 + static_cast<std::uint32_t>(rng.next_below(3));
   s.spec.seed = 1 + rng.next_below(1u << 16);
   s.spec.runtime_median_s = 0.3;
-  // 0.5-4 MiB payloads over a 1 MiB chunk: a mix of single- and
-  // multi-frame edges.
-  s.spec.output_median_bytes = (512.0 + rng.uniform(0.0, 3584.0)) * 1024.0;
+  // Mostly 0.5-4 MiB payloads over a 1 MiB chunk: a mix of single- and
+  // multi-frame edges.  One schedule in four moves 64-192 MiB payloads over
+  // a 128 MiB chunk instead: frames of 64 MiB and more keep a copy in flight
+  // long enough for a crash window to land inside it.  That choice has a
+  // stream of its own, so the schedule's other draws stay as they were.
+  const double size_draw = rng.uniform(0.0, 3584.0);
+  if (Rng(master_seed)
+          .fork("dagchaos-size:" + std::to_string(index))
+          .bernoulli(0.25)) {
+    s.chunk = Bytes::mib(128);
+    s.spec.output_median_bytes =
+        (64.0 + size_draw / 3584.0 * 128.0) * 1024.0 * 1024.0;
+  } else {
+    s.spec.output_median_bytes = (512.0 + size_draw) * 1024.0;
+  }
   s.seed = 1 + rng.next_below(1u << 20);
   s.health = rng.bernoulli(0.5);
   s.hedge = s.health && rng.bernoulli(0.7);
@@ -488,7 +500,8 @@ std::string describe(const DagSchedule& s) {
       " dag_seed=" + std::to_string(s.spec.seed) +
       " bytes~" + std::to_string(
           static_cast<std::uint64_t>(s.spec.output_median_bytes)) +
-      " " + s.scenario + " seed=" + std::to_string(s.seed) +
+      " chunk=" + std::to_string(s.chunk.count()) + " " + s.scenario +
+      " seed=" + std::to_string(s.seed) +
       (s.health ? " health" : "") + (s.hedge ? " hedge" : "") +
       (s.integrity ? " integrity" : "") + ", " +
       std::to_string(s.windows.size()) + " windows";

@@ -929,12 +929,16 @@ sim::Task<void> DyadConsumer::consume(const std::string& path, Bytes size) {
                           perf::Category::kMovement);
     auto* lc = node_->fallback_client();
     std::uint32_t polls = 0;
-    while (!co_await lc->exists(path)) {
+    for (;;) {
       // Metadata said the frame exists but the write-through is still in
-      // flight; poll until the replica lands.  Bounded: the write-through
+      // flight; poll until the replica lands.  stat(), not exists(), as in
+      // the hedge: a replica is visible from create() but readable only
+      // once the write has advanced its size.  Bounded: the write-through
       // may have died with its producer (lost_writethroughs), in which case
       // only a migrated re-producer can supply the frame — fail loudly so
       // the rank-level retry re-resolves the owner.
+      const std::optional<Bytes> replica_size = co_await lc->stat(path);
+      if (replica_size.has_value() && *replica_size >= size) break;
       if (++polls > 256) {
         throw net::NetError("dyad: failover replica for '" + path +
                             "' never appeared (write-through lost)");

@@ -1,6 +1,8 @@
 #include "mdwf/net/network.hpp"
 
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "mdwf/common/assert.hpp"
 #include "mdwf/sim/primitives.hpp"
@@ -112,12 +114,13 @@ sim::Task<void> Network::transfer(NodeId src, NodeId dst, Bytes payload) {
     }
   }
   // The payload occupies every traversed segment simultaneously; completion
-  // is gated by the slowest.
-  std::vector<sim::Task<void>> segments;
-  segments.push_back(tx(src).transfer(wire));
-  segments.push_back(rx(dst).transfer(wire));
-  if (bisection_) segments.push_back(bisection_->transfer(wire));
-  co_await sim::all(*sim_, std::move(segments));
+  // is gated by the slowest.  The segments live on this frame, so the
+  // fan-out allocates nothing.
+  std::array<sim::Task<void>, 3> segments{
+      tx(src).transfer(wire), rx(dst).transfer(wire),
+      bisection_ ? bisection_->transfer(wire) : sim::Task<void>{}};
+  co_await sim::join_all(*sim_,
+                         std::span(segments.data(), bisection_ ? 3 : 2));
 }
 
 sim::Task<void> Network::send_control(NodeId src, NodeId dst) {

@@ -9,6 +9,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "mdwf/common/assert.hpp"
@@ -267,7 +269,9 @@ class Barrier {
 };
 
 // Completion counter: `wait` resumes once `done` has been called `add`-many
-// times.  Reusable only after a full cycle.
+// times.  Reusable only after a full cycle.  Waiters resume in the order
+// they waited; the first one is kept inline, so the common single-waiter
+// group (`all`) allocates nothing.
 class WaitGroup {
  public:
   explicit WaitGroup(Simulation& sim) : sim_(&sim) {}
@@ -276,9 +280,11 @@ class WaitGroup {
 
   void done() {
     MDWF_ASSERT_MSG(pending_ > 0, "WaitGroup::done without matching add");
-    if (--pending_ == 0) {
-      for (auto h : waiters_) sim_->schedule_resume(h, Duration::zero());
-      waiters_.clear();
+    if (--pending_ == 0 && first_waiter_) {
+      sim_->schedule_resume(std::exchange(first_waiter_, {}),
+                            Duration::zero());
+      for (auto h : more_waiters_) sim_->schedule_resume(h, Duration::zero());
+      more_waiters_.clear();
     }
   }
 
@@ -289,7 +295,11 @@ class WaitGroup {
       WaitGroup* wg;
       bool await_ready() const noexcept { return wg->pending_ == 0; }
       void await_suspend(std::coroutine_handle<> h) const {
-        wg->waiters_.push_back(h);
+        if (!wg->first_waiter_) {
+          wg->first_waiter_ = h;
+        } else {
+          wg->more_waiters_.push_back(h);
+        }
       }
       void await_resume() const noexcept {}
     };
@@ -299,11 +309,16 @@ class WaitGroup {
  private:
   Simulation* sim_;
   std::size_t pending_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_waiter_;
+  std::vector<std::coroutine_handle<>> more_waiters_;
 };
 
 // Runs tasks concurrently and completes when all have finished.  The first
 // exception (in completion order) is rethrown after every task has settled.
 Task<void> all(Simulation& sim, std::vector<Task<void>> tasks);
+
+// `all` over tasks the caller owns: a fixed array on the awaiting frame
+// needs no heap.  `tasks` must outlive the returned task.
+Task<void> join_all(Simulation& sim, std::span<Task<void>> tasks);
 
 }  // namespace mdwf::sim

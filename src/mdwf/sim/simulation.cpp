@@ -10,7 +10,7 @@ namespace mdwf::sim {
 // whose completion (or failure) reports back to the kernel.  The wrapper's
 // frame owns the user task; both frames are destroyed together.
 struct RootTask {
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     Simulation* sim = nullptr;
     std::uint64_t id = 0;
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory_resource>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -143,7 +144,12 @@ class Simulation {
 
   void trace_live_processes();
 
-  std::unordered_map<std::uint64_t, RootRecord> live_roots_;
+  // Map nodes come from a pool owned by the kernel, so a spawn allocates
+  // nothing once warm.  The map stays a hash map keyed by spawn id: its
+  // iteration order is what ~Simulation destroys suspended frames in, and
+  // their ScopedSpan destructors write trace events in that order.
+  std::pmr::unsynchronized_pool_resource root_pool_;
+  std::pmr::unordered_map<std::uint64_t, RootRecord> live_roots_{&root_pool_};
   std::uint64_t next_root_id_ = 0;
   std::exception_ptr pending_error_;
   obs::TraceSink* trace_ = nullptr;

@@ -9,9 +9,13 @@
 // Ownership: a Task owns its coroutine frame; destroying an un-awaited or
 // suspended Task destroys the frame (and, recursively, the frames of any
 // child task it is awaiting, since those are owned by locals in the frame).
+//
+// Frames come from `FramePool`, so a warm simulation creates and destroys
+// tasks without touching the global allocator.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -24,6 +28,94 @@ template <typename T = void>
 class Task;
 
 namespace detail {
+
+// The frame pool is compiled out under ASan and TSan: with every frame a
+// plain ::operator new block, the sanitizers still see a use-after-free of
+// a destroyed frame instead of a silently recycled block.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kFramePoolEnabled = false;
+#else
+inline constexpr bool kFramePoolEnabled = true;
+#endif
+
+// Thread-local free lists of coroutine frames in 64-byte size classes up to
+// 4 KiB; larger frames go straight to ::operator new.  A list keeps at most
+// the peak number of frames of its class that were live at once, and is
+// released when its thread exits.
+//
+// A frame made on one sweep worker and destroyed on another joins the
+// destroying thread's list.  That is safe: every pooled block, whichever
+// thread made it, is a plain ::operator new block of exactly its class
+// size, so any thread may reuse it for that class or free it.
+class FramePool {
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kMaxFrame = 4096;
+
+ public:
+  static void* allocate(std::size_t n) {
+    if constexpr (kFramePoolEnabled) {
+      if (n <= kMaxFrame) {
+        const std::size_t c = size_class(n);
+        if (Block* b = lists_.head[c]) {
+          lists_.head[c] = b->next;
+          return b;
+        }
+        return allocate_fresh(c);
+      }
+    }
+    return ::operator new(n);
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    if constexpr (kFramePoolEnabled) {
+      if (n <= kMaxFrame) {
+        const std::size_t c = size_class(n);
+        if (lists_.state != State::kOpen) {
+          release_slow(p, c);
+          return;
+        }
+        auto* b = static_cast<Block*>(p);
+        b->next = lists_.head[c];
+        lists_.head[c] = b;
+        return;
+      }
+    }
+    ::operator delete(p);
+  }
+
+  // Frames cached on the calling thread (tests).
+  static std::size_t cached();
+
+ private:
+  static constexpr std::size_t kClasses = kMaxFrame / kGranule;
+  struct Block {
+    Block* next;
+  };
+  // kUnused: no thread-exit release registered yet; kClosed: the thread is
+  // exiting, its lists are gone and frames go back to ::operator delete.
+  enum class State : unsigned char { kUnused, kOpen, kClosed };
+  struct Lists {
+    Block* head[kClasses];
+    State state;
+  };
+
+  // n >= 1: a frame holds at least its resume and destroy pointers.
+  static std::size_t size_class(std::size_t n) { return (n - 1) / kGranule; }
+  static void* allocate_fresh(std::size_t c);
+  static void release_slow(void* p, std::size_t c) noexcept;
+  static void open_thread();
+
+  static constinit inline thread_local Lists lists_{};
+};
+
+// Coroutine frames of every promise type that derives from this come from
+// the FramePool.
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+};
 
 template <typename Promise>
 struct FinalAwaiter {
@@ -38,7 +130,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct PromiseBase {
+struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
 

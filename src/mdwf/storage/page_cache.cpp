@@ -19,10 +19,9 @@ PageCache::Key PageCache::make_key(std::uint64_t file_id, std::uint64_t page) {
   return (file_id << 32) | page;
 }
 
-void PageCache::touch(Key k, Entry& e) {
-  lru_.erase(e.lru_pos);
-  lru_.push_front(k);
-  e.lru_pos = lru_.begin();
+void PageCache::touch(Entry& e) {
+  // Relinking the node keeps e.lru_pos valid and allocates nothing.
+  lru_.splice(lru_.begin(), lru_, e.lru_pos);
 }
 
 Bytes PageCache::evict_one() {
@@ -110,7 +109,7 @@ sim::Task<void> PageCache::write(std::uint64_t file_id, Bytes offset,
     const Key k = make_key(file_id, p);
     auto it = pages_.find(k);
     if (it != pages_.end()) {
-      touch(k, it->second);
+      touch(it->second);
       if (!it->second.dirty) {
         it->second.dirty = true;
         ++dirty_count_;
@@ -142,7 +141,7 @@ sim::Task<void> PageCache::read(std::uint64_t file_id, Bytes offset,
     auto it = pages_.find(k);
     if (it != pages_.end()) {
       ++hits_;
-      touch(k, it->second);
+      touch(it->second);
       continue;
     }
     ++misses_;

@@ -84,7 +84,7 @@ class PageCache {
     return (offset.count() + len.count() - 1) / params_.page_size.count();
   }
 
-  void touch(Key k, Entry& e);
+  void touch(Entry& e);
   // Makes room for one page.  Clean pages are preferred victims; evicting a
   // dirty page returns its size so the caller can launch the write-back.
   Bytes evict_one();

@@ -515,8 +515,11 @@ void StreamNode::mark_consumed(const std::string& path) {
 
 void StreamNode::on_power_loss() {
   crash_drops_ += staged_.size();
+  // Only the staged frames' bytes go: a reservation still in flight is
+  // settled by its sender (unreserved if the put tears, consumed if the
+  // frame lands), so zeroing the count would underflow it.
+  for (const auto& [path, frame] : staged_) staged_bytes_ -= frame.size;
   staged_.clear();
-  staged_bytes_ = Bytes::zero();
   consumed_.clear();
   // Waiters hold their own event references and wake on their timers.
   arrivals_.clear();
@@ -709,6 +712,21 @@ sim::Task<bool> StreamSubscriber::try_spill_read(const std::string& path,
   co_return true;
 }
 
+namespace {
+
+// A power loss on the consumer node clears its staging buffer, also under a
+// read that is copying a frame out of it.  The read then fails with a
+// NetError: the rank's fault retry sees the new crash epoch and restarts the
+// fetch once the node is back.
+void require_staged(const StreamNode& n, const std::string& path) {
+  if (!n.staged(path)) {
+    throw net::NetError("stream: staged copy of '" + path +
+                        "' lost to a power loss");
+  }
+}
+
+}  // namespace
+
 sim::Task<void> StreamSubscriber::read_staged(const std::string& path,
                                               Bytes size) {
   StreamNode& n = *node_;
@@ -716,6 +734,7 @@ sim::Task<void> StreamSubscriber::read_staged(const std::string& path,
   perf::ScopedRegion read(*rec_, "stream_read", perf::Category::kMovement);
   co_await sim.delay(n.params().match_cpu);
   co_await sim.delay(copy_time(size, n.params().buffer_bps));
+  require_staged(n, path);
   if (auto* ledger = n.integrity()) {
     const std::string loc = StreamNode::stage_location(n.node().value);
     co_await ledger->charge(size);  // consumer-side CRC32C verify
@@ -755,6 +774,7 @@ sim::Task<void> StreamSubscriber::read_staged(const std::string& path,
       ledger->count_verify(!bad);
     }
     if (bad) ledger->count_unrecovered();
+    require_staged(n, path);
   }
   n.consume(path);
 }

@@ -1,9 +1,12 @@
 #include "mdwf/tenant/tenant.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -473,17 +476,23 @@ Solution parse_solution_token(const std::string& tok,
                     tok + "' (dyad|xfs|lustre|stream|noise)");
 }
 
-std::uint64_t parse_uint_token(const std::string& tok,
+// Counts are 32-bit fields: a sign, a blank or a value above UINT32_MAX is
+// a named error, never a wrapped or truncated count.
+std::uint32_t parse_uint_token(const std::string& tok,
                                const std::string& desc) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(tok, &used);
-    if (used != tok.size()) throw std::invalid_argument(tok);
-    return v;
-  } catch (const std::exception&) {
+  std::uint32_t v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
     throw ConfigError("bad tenant descriptor '" + desc + "': '" + tok +
-                      "' is not a number");
+                      "' is out of range (at most " +
+                      std::to_string(UINT32_MAX) + ")");
   }
+  if (ec != std::errc{} || ptr != end) {
+    throw ConfigError("bad tenant descriptor '" + desc + "': '" + tok +
+                      "' is not an unsigned number");
+  }
+  return v;
 }
 
 double parse_double_token(const std::string& tok, const std::string& desc) {
@@ -568,8 +577,7 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
                           "': noise takes at most [intensity[/weight]]");
       }
       if (fields.size() >= 2) {
-        t.noise.intensity =
-            static_cast<std::uint32_t>(parse_uint_token(fields[1], desc));
+        t.noise.intensity = parse_uint_token(fields[1], desc);
       }
       if (fields.size() >= 3) t.weight = parse_double_token(fields[2], desc);
     } else {
@@ -582,10 +590,10 @@ MultiTenantConfig parse_multi_tenant(const KeyValueConfig& cfg,
             "': expected solution[/pairs[/nodes[/faults[/weight]]]]");
       }
       if (fields.size() >= 2) {
-        t.pairs = static_cast<std::uint32_t>(parse_uint_token(fields[1], desc));
+        t.pairs = parse_uint_token(fields[1], desc);
       }
       if (fields.size() >= 3) {
-        t.nodes = static_cast<std::uint32_t>(parse_uint_token(fields[2], desc));
+        t.nodes = parse_uint_token(fields[2], desc);
       }
       if (fields.size() >= 4 && !fields[3].empty()) t.faults = fields[3];
       if (fields.size() >= 5) t.weight = parse_double_token(fields[4], desc);

@@ -1,11 +1,18 @@
 // Unit tests for the discrete-event simulation kernel and its primitives.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdio>
+#include <memory>
+#include <regex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mdwf/common/time.hpp"
+#include "mdwf/obs/trace.hpp"
 #include "mdwf/sim/primitives.hpp"
 #include "mdwf/sim/simulation.hpp"
 #include "mdwf/sim/task.hpp"
@@ -160,6 +167,50 @@ TEST(SimulationTest, DestructionWithSuspendedProcessesIsClean) {
   sim.run();
   EXPECT_TRUE(sim.deadlocked());
   EXPECT_EQ(sim.live_processes(), 1u);
+}
+
+// Teardown destroys suspended roots in the live-root map's iteration order,
+// and each destroyed frame's ScopedSpan writes its span then: that order
+// shows in every trace of a run that ends with blocked processes.  Spans
+// that all open at t=0 sort by emission order, so the JSON lists the
+// destruction order, which this pins.  The map churns (completions erase,
+// growth rehashes) the way a model run does.
+TEST(SimulationTest, TeardownOrderOfSuspendedRootsIsPinned) {
+  obs::TraceSink sink;
+  const obs::TrackId track = sink.track("node0", "procs");
+  {
+    Simulation sim;
+    Event never(sim);
+    for (int i = 0; i < 24; ++i) {
+      if (i % 3 == 1) {
+        sim.spawn([](Simulation& s) -> Task<void> {
+          co_await s.delay(1_us);
+        }(sim));
+        continue;
+      }
+      char name[8];
+      std::snprintf(name, sizeof name, "p%d", i);
+      const obs::SpanId id = sink.span_id(track, name, "idle");
+      sim.spawn([](Simulation& s, Event& e, obs::TraceSink& k,
+                   obs::SpanId sid) -> Task<void> {
+        obs::ScopedSpan span(&k, sid, s.now_ptr());
+        co_await e.wait();
+      }(sim, never, sink, id));
+    }
+    sim.run();
+    ASSERT_EQ(sim.live_processes(), 16u);
+  }
+  const std::string json = sink.chrome_json();
+  const std::regex span_name(R"re("ph":"X","name":"(p\d+)")re");
+  std::vector<std::string> order;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), span_name);
+       it != std::sregex_iterator(); ++it) {
+    order.push_back((*it)[1]);
+  }
+  const std::vector<std::string> expected = {
+      "p23", "p21", "p20", "p18", "p17", "p15", "p14", "p0",
+      "p2",  "p3",  "p5",  "p6",  "p8",  "p9",  "p11", "p12"};
+  EXPECT_EQ(order, expected);
 }
 
 TEST(SimulationTest, RunToQuiescenceThrowsOnDeadlock) {
@@ -432,6 +483,29 @@ TEST(WaitGroupTest, WaitOnZeroPendingIsImmediate) {
   EXPECT_TRUE(done);
 }
 
+TEST(WaitGroupTest, WaitersResumeInTheOrderTheyWaited) {
+  // The first waiter is kept inline and the rest in a list; the release
+  // must still wake them first-come first-served, over two cycles.
+  Simulation sim;
+  WaitGroup wg(sim);
+  std::vector<int> order;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    wg.add(1);
+    for (int id : {0, 1, 2}) {
+      sim.spawn([](WaitGroup& w, std::vector<int>& o, int v) -> Task<void> {
+        co_await w.wait();
+        o.push_back(v);
+      }(wg, order, cycle * 10 + id));
+    }
+    sim.spawn([](Simulation& s, WaitGroup& w) -> Task<void> {
+      co_await s.delay(1_us);
+      w.done();
+    }(sim, wg));
+    sim.run_to_quiescence();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+}
+
 // --- all() -----------------------------------------------------------------------
 
 TEST(AllTest, CompletesAtSlowestChild) {
@@ -484,6 +558,94 @@ TEST(AllTest, EmptyVectorCompletesImmediately) {
   }(sim, done));
   sim.run_to_quiescence();
   EXPECT_TRUE(done);
+}
+
+TEST(AllTest, JoinAllOverAFixedArray) {
+  Simulation sim;
+  std::vector<int> log;
+  sim.spawn([](Simulation& s, std::vector<int>& l) -> Task<void> {
+    std::array<Task<void>, 2> both{record_after(s, 2_us, l, 2),
+                                   record_after(s, 1_us, l, 1)};
+    co_await join_all(s, both);
+    l.push_back(0);
+  }(sim, log));
+  sim.run_to_quiescence();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(sim.now(), TimePoint::origin() + 2_us);
+}
+
+// --- Frame pool -------------------------------------------------------------------
+
+Task<int> small_frame(int v) { co_return v; }
+
+// Keeps an 8 KiB buffer alive across a suspension, so the frame is larger
+// than the pool's biggest size class.
+Task<int> large_frame(Simulation& sim, int v) {
+  std::array<unsigned char, 8192> buf{};
+  buf[100] = static_cast<unsigned char>(v);
+  co_await sim.yield();
+  co_return buf[100] + buf[8000];
+}
+
+TEST(FramePool, SequentialTasksOfOneSizeClassReuseTheBlock) {
+  if (!detail::kFramePoolEnabled) {
+    GTEST_SKIP() << "frame pool is compiled out under sanitizers";
+  }
+  void* first = nullptr;
+  {
+    Task<int> t = small_frame(1);
+    first = t.handle().address();
+  }
+  const std::size_t cached = detail::FramePool::cached();
+  ASSERT_GE(cached, 1u);
+  Task<int> again = small_frame(2);
+  EXPECT_EQ(again.handle().address(), first);
+  EXPECT_EQ(detail::FramePool::cached(), cached - 1);
+}
+
+TEST(FramePool, FramesOverFourKiBBypassThePool) {
+  Simulation sim;
+  int out = 0;
+  sim.spawn([](Simulation& s, int& o) -> Task<void> {
+    o = co_await large_frame(s, 7);
+  }(sim, out));
+  sim.run_to_quiescence();
+  EXPECT_EQ(out, 7);
+  // Making and dropping a large frame leaves the free lists as they were.
+  const std::size_t cached = detail::FramePool::cached();
+  { Task<int> t = large_frame(sim, 1); }
+  EXPECT_EQ(detail::FramePool::cached(), cached);
+}
+
+TEST(FramePool, CrossThreadDestroyIsSafe) {
+  // Frames made on a worker thread, which then exits and releases its own
+  // lists, are destroyed here and join this thread's lists.
+  std::vector<Task<int>> made;
+  std::unique_ptr<Simulation> sim;
+  std::unique_ptr<Event> never;
+  std::thread worker([&] {
+    for (int i = 0; i < 8; ++i) made.push_back(small_frame(i));
+    sim = std::make_unique<Simulation>();
+    never = std::make_unique<Event>(*sim);
+    for (int i = 0; i < 4; ++i) {
+      sim->spawn([](Event& e) -> Task<void> { co_await e.wait(); }(*never));
+    }
+    sim->run();
+  });
+  worker.join();
+  const std::size_t before = detail::FramePool::cached();
+  made.clear();
+  sim.reset();  // four suspended roots: a root frame and a task frame each
+  never.reset();
+  if (detail::kFramePoolEnabled) {
+    EXPECT_EQ(detail::FramePool::cached(), before + 16);
+  }
+  // The adopted blocks serve this thread's next frames.
+  std::vector<Task<int>> reused;
+  for (int i = 0; i < 8; ++i) reused.push_back(small_frame(i));
+  if (detail::kFramePoolEnabled) {
+    EXPECT_EQ(detail::FramePool::cached(), before + 8);
+  }
 }
 
 // --- Determinism ------------------------------------------------------------------

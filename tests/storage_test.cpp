@@ -1,6 +1,11 @@
 // Unit tests for the block device and page cache models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <list>
+#include <map>
 #include <vector>
 
 #include "mdwf/common/time.hpp"
@@ -231,6 +236,92 @@ TEST(PageCacheTest, PartialPageWriteDirtiesWholePage) {
     EXPECT_TRUE(c.resident(1, Bytes(100), Bytes(50)));
   }(cache));
   sim.run_to_quiescence();
+}
+
+// Reference LRU for the oracle test: a plain list (front = most recent) and
+// the model's victim rule — the clean page nearest the LRU end within a
+// 128-page scan, else the LRU page itself.
+struct ReferenceLru {
+  std::size_t capacity;
+  std::list<std::uint64_t> order;
+  std::map<std::uint64_t, bool> dirty;
+  std::vector<std::uint64_t> evicted;
+  std::uint64_t writeback_pages = 0;
+
+  void access(std::uint64_t page, bool write) {
+    if (const auto it = dirty.find(page); it != dirty.end()) {
+      order.remove(page);
+      order.push_front(page);
+      if (write) it->second = true;
+      return;
+    }
+    while (dirty.size() >= capacity) evict();
+    order.push_front(page);
+    dirty[page] = write;
+  }
+
+  void evict() {
+    auto victim = std::prev(order.end());
+    int scanned = 0;
+    for (auto it = std::prev(order.end());; --it) {
+      if (!dirty[*it]) {
+        victim = it;
+        break;
+      }
+      if (++scanned >= 128 || it == order.begin()) break;
+    }
+    evicted.push_back(*victim);
+    if (dirty[*victim]) ++writeback_pages;
+    dirty.erase(*victim);
+    order.erase(victim);
+  }
+};
+
+TEST(PageCacheTest, LruMatchesReferenceOracle) {
+  // A pseudo-random hit/insert/evict sequence over 8 pages through a
+  // 4-page cache: after every operation the resident set, the page just
+  // evicted (if any) and the eviction count match the reference; at the
+  // end so do the dirty write-back bytes.
+  Simulation sim;
+  BlockDevice dev(sim, test_device_params());
+  const PageCacheParams params = test_cache_params();
+  PageCache cache(sim, params, dev);
+  ReferenceLru ref{4, {}, {}, {}, 0};
+  constexpr std::uint64_t kPages = 8;
+  sim.spawn([](PageCache& c, ReferenceLru& r, Bytes page) -> Task<void> {
+    std::uint64_t lcg = 12345;
+    std::vector<std::uint64_t> observed_evictions;
+    std::vector<bool> was_resident(kPages, false);
+    for (int op = 0; op < 400; ++op) {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      const std::uint64_t p = (lcg >> 33) % kPages;
+      const bool write = ((lcg >> 20) & 3) == 0;
+      if (write) {
+        co_await c.write(1, page * p, page);
+      } else {
+        co_await c.read(1, page * p, page);
+      }
+      r.access(p, write);
+      for (std::uint64_t q = 0; q < kPages; ++q) {
+        const bool now_resident = c.resident(1, page * q, page);
+        EXPECT_EQ(now_resident, r.dirty.count(q) == 1) << "op " << op;
+        if (was_resident[q] && !now_resident) {
+          observed_evictions.push_back(q);
+        }
+        was_resident[q] = now_resident;
+      }
+      EXPECT_EQ(c.evictions(), r.evicted.size()) << "op " << op;
+    }
+    EXPECT_EQ(observed_evictions, r.evicted);
+  }(cache, ref, params.page_size));
+  sim.run_to_quiescence();
+  EXPECT_GT(ref.evicted.size(), 100u);
+  EXPECT_GT(ref.writeback_pages, 10u);
+  EXPECT_EQ(cache.dirty_pages(),
+            static_cast<std::size_t>(std::count_if(
+                ref.dirty.begin(), ref.dirty.end(),
+                [](const auto& kv) { return kv.second; })));
+  EXPECT_EQ(dev.bytes_written(), params.page_size * ref.writeback_pages);
 }
 
 }  // namespace

@@ -313,7 +313,25 @@ TEST(TenantParse, RejectsMalformedDescriptors) {
   EXPECT_THROW(parse("dyad/0/2"), ConfigError);          // no pairs
   EXPECT_THROW(parse("dyad/2/0"), ConfigError);          // no nodes
   EXPECT_THROW(parse("dyad/2/3"), ConfigError);          // odd split
+  // Counts are unsigned 32-bit: a sign or an out-of-range value is a named
+  // error, never a wrapped or truncated count.  Parser only: the wrapped
+  // descriptors would ask for ~4.29e9 clients if they ran.
+  EXPECT_THROW(parse("a@dyad/1/1,noise/-5"), ConfigError);  // sign
+  EXPECT_THROW(parse("noise/+5"), ConfigError);             // sign
+  EXPECT_THROW(parse("dyad/-2/2"), ConfigError);            // sign
+  EXPECT_THROW(parse("dyad/2/ 2"), ConfigError);            // blank
+  EXPECT_THROW(parse("noise/4294967296"), ConfigError);     // > 2^32-1
+  EXPECT_THROW(parse("dyad/18446744073709551617/2"), ConfigError);
+  try {
+    parse("a@dyad/1/1,noise/-5");
+    ADD_FAILURE() << "signed intensity accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'-5'"), std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(parse("dyad/2/1,xfs/2/3").tenants.size(), 2u);  // placeable
+  EXPECT_EQ(parse("noise/4294967295").tenants[0].noise.intensity,
+            UINT32_MAX);  // the largest count still parses
 
   // Global faults= would chaos every tenant ambiguously; each tenant
   // declares its own scenario instead.
